@@ -443,6 +443,7 @@ class AsyncFLServer(FLServer):
             checkpoint = handle.load_checkpoint()
             if checkpoint is not None:
                 self._restore(checkpoint)
+            handle.rewind_events(self.waves)
 
         obs = get_registry()
         reached = False

@@ -11,12 +11,13 @@ of the run's complete input closure — holding three artifacts:
   wave (virtual timestamp, merged clients, staleness, weight hash).
   Appends are single ``write`` calls on an ``O_APPEND`` descriptor, so
   concurrent writers interleave whole records, never bytes;
-* ``checkpoint.pkl`` — the full resumable simulation state, written
-  atomically (temp file + ``os.replace``, the :mod:`repro.runtime.cache`
-  idiom) every ``checkpoint_every`` waves.  A crashed run can never
-  leave a half-written checkpoint; a corrupt one is treated as absent;
-* ``result.json`` — the final payload, written atomically when the run
-  completes; its presence is what marks a job ``done``.
+* ``checkpoint.pkl`` — the full resumable simulation state, written every
+  ``checkpoint_every`` waves;
+* ``result.json`` — the final payload, written when the run completes;
+  its presence is what marks a job ``done``.
+
+Checkpoint and result go through :mod:`repro.runtime.store`, so neither
+is ever half-written and a corrupt one reads as absent (and is evicted).
 
 Resume semantics: reconstruct the simulation exactly as it was first
 constructed (same config, same seeds) — the job id comes out identical,
@@ -26,7 +27,8 @@ client RNG states, sampler state), and replays forward.  Because the
 engine is deterministic, the waves recomputed between the last
 checkpoint and the crash are bit-identical to the lost ones, so a
 killed-and-resumed run finishes in exactly the state of an uninterrupted
-one.
+one.  On resume the log is rewound to the restored checkpoint's wave
+before the replayed waves append again, so it keeps one record per wave.
 """
 
 from __future__ import annotations
@@ -34,15 +36,19 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import tempfile
 from typing import Any, Dict, List, Optional
 
 from ..obs.registry import get_registry
+from ..runtime import store as blobs
 from ..runtime.cache import fingerprint
 
 __all__ = ["JobStore", "JobHandle", "JOB_STORE_ENV"]
 
 JOB_STORE_ENV = "REPRO_JOB_STORE"
+
+
+def _event_line(record: Dict[str, Any]) -> bytes:
+    return (json.dumps(record, sort_keys=True, default=str) + "\n").encode()
 
 
 class JobHandle:
@@ -60,14 +66,23 @@ class JobHandle:
     def append_event(self, record: Dict[str, Any]) -> None:
         """Append one JSON record (single atomic ``O_APPEND`` write)."""
         os.makedirs(self.dir, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, default=str) + "\n"
         fd = os.open(self.events_path,
                      os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, line.encode())
+            os.write(fd, _event_line(record))
         finally:
             os.close(fd)
         get_registry().counter("federated.jobstore_events").inc()
+
+    def rewind_events(self, n: int) -> None:
+        """Keep only the first ``n`` records (dropping any torn tail).
+
+        A resumed run replays the waves after its checkpoint, so their
+        records must go before they are appended again.
+        """
+        if os.path.exists(self.events_path):
+            blobs.write_atomic(self.events_path, b"".join(
+                _event_line(e) for e in self.events()[:n]))
 
     def events(self) -> List[Dict[str, Any]]:
         """All complete event records (a torn final line is skipped)."""
@@ -88,17 +103,8 @@ class JobHandle:
     # -------------------------------------------------------- checkpoints
     def checkpoint(self, state: Any) -> str:
         """Atomically persist the resumable state; returns its path."""
-        os.makedirs(self.dir, exist_ok=True)
         blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, self.checkpoint_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        blobs.write_atomic(self.checkpoint_path, blob)
         obs = get_registry()
         obs.counter("federated.jobstore_checkpoints").inc()
         obs.counter("federated.jobstore_checkpoint_bytes").inc(
@@ -108,39 +114,18 @@ class JobHandle:
     def load_checkpoint(self) -> Optional[Any]:
         """The last checkpoint, or ``None`` (corrupt entries count as
         absent — a resume can only lose progress, never correctness)."""
-        try:
-            with open(self.checkpoint_path, "rb") as f:
-                return pickle.load(f)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            get_registry().counter(
-                "federated.jobstore_corrupt_checkpoints").inc()
-            return None
+        return blobs.read_or_evict(self.checkpoint_path, pickle.load,
+                                   "federated.jobstore_corrupt_checkpoints")
 
     # ------------------------------------------------------------- result
     def finish(self, result: Dict[str, Any]) -> str:
         """Atomically record the final result; marks the job done."""
-        os.makedirs(self.dir, exist_ok=True)
-        blob = json.dumps(result, indent=2, sort_keys=True,
-                          default=str).encode()
-        fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, self.result_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        blobs.write_atomic(self.result_path, json.dumps(
+            result, indent=2, sort_keys=True, default=str).encode())
         return self.result_path
 
     def result(self) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self.result_path) as f:
-                return json.load(f)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
+        return blobs.read_or_evict(self.result_path, json.load)
 
     def status(self) -> str:
         """``done`` | ``running`` (has state) | ``pending`` (empty)."""
@@ -156,10 +141,8 @@ class JobStore:
     """Directory of content-addressed :class:`JobHandle` entries."""
 
     def __init__(self, root: Optional[str] = None):
-        if root is None:
-            root = os.environ.get(JOB_STORE_ENV, "").strip() or os.path.join(
-                os.path.expanduser("~"), ".cache", "repro-jobs")
-        self.root = root
+        self.root = root if root is not None \
+            else blobs.default_root(JOB_STORE_ENV, "repro-jobs")
 
     def job_id(self, kind: str, *parts: Any) -> str:
         """Content-addressed id over the run's full input closure."""

@@ -6,7 +6,9 @@ numerical paths were interpreter-bound: the submanifold sparse 3-D
 convolution walked Python dicts of ``(i, j, k)`` tuples per layer, SNN
 surrogate-BPTT re-ran one small convolution per timestep, and STARNet's
 likelihood regret optimized one sample at a time.  This package hosts
-**two complete implementations** of each path:
+**two complete implementations** of each such path — ``sparse_conv3d``,
+``snn_bptt``, ``likelihood_regret``, plus R-MAE's ``bev_scatter`` and
+detection's ``bev_match``:
 
 * ``reference``  — the original implementations, moved here verbatim.
   Their op order is untouched, so a run under ``REPRO_KERNELS=reference``
@@ -164,7 +166,6 @@ def kernel_timer(name: str, op: str):
 # Kernel modules register themselves on import; keep these at the bottom
 # so the registry helpers above exist when they run.
 from . import bev_scatter  # noqa: E402,F401
-from . import corruption_stack  # noqa: E402,F401
 from . import matching  # noqa: E402,F401
 from . import regret  # noqa: E402,F401
 from . import snn_bptt  # noqa: E402,F401

@@ -2,8 +2,9 @@
 
 The scaling layer under every other pillar: deterministic process-pool
 fan-out for pure seeded tasks (:class:`WorkerPool`), content-addressed
-on-disk memoization of expensive artifacts (:class:`ArtifactCache`), and
-explicit per-task seed derivation (:func:`spawn_rngs`).  Federated
+on-disk memoization of expensive artifacts (:class:`ArtifactCache`, on
+the durable-store layer :mod:`.store` that every on-disk store shares),
+and explicit per-task seed derivation (:func:`spawn_rngs`).  Federated
 rounds (``FLServer.run_round(pool=...)``), the benchmark suite
 (``repro bench --workers N``), and the R-MAE/VAE/Koopman pretraining
 paths all execute through it; ``repro.obs`` counters and spans record

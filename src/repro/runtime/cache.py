@@ -9,11 +9,9 @@ scratch.  :class:`ArtifactCache` memoizes those artifacts on disk:
   config, data content, initial parameters, and the RNG's bit-generator
   state — so two invocations collide only when training would produce
   bit-identical output anyway;
-* **writes** are atomic (temp file + ``os.replace``) so a crashed or
-  concurrent run can never leave a half-written entry;
-* **corrupt entries** (truncated files, unpicklable blobs, stale class
-  layouts) are treated as misses, deleted, and recomputed — the cache
-  can only ever cost a recompute, never wrongness;
+* **entries** are one ``<kind>-<fingerprint>.pkl`` file each, written
+  and read through :mod:`repro.runtime.store` (atomic writes; corrupt
+  entries read as misses, are evicted and recomputed);
 * on a **hit** the cached *post-training* RNG state is restored into the
   caller's generator, so downstream draws are bit-identical whether the
   artifact was computed or loaded.
@@ -34,12 +32,12 @@ import dataclasses
 import hashlib
 import os
 import pickle
-import tempfile
 from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from ..obs.registry import get_registry
+from . import store as blobs
 
 __all__ = [
     "ArtifactCache", "get_cache", "resolve_cache", "cache_enabled",
@@ -122,10 +120,8 @@ class ArtifactCache:
     """Flat directory of ``<kind>-<fingerprint>.pkl`` artifact blobs."""
 
     def __init__(self, root: Optional[str] = None):
-        if root is None:
-            root = os.environ.get(CACHE_DIR_ENV, "").strip() or os.path.join(
-                os.path.expanduser("~"), ".cache", "repro")
-        self.root = root
+        self.root = root if root is not None \
+            else blobs.default_root(CACHE_DIR_ENV, "repro")
 
     # ------------------------------------------------------------- keying
     def key(self, kind: str, **parts: Any) -> str:
@@ -141,18 +137,9 @@ class ArtifactCache:
     # -------------------------------------------------------------- store
     def store(self, kind: str, key: str, payload: Any) -> str:
         """Atomically persist one artifact; returns its path."""
-        os.makedirs(self.root, exist_ok=True)
         path = self._path(kind, key)
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        blobs.write_atomic(path, blob)
         obs = get_registry()
         obs.counter("runtime.cache_writes").inc()
         obs.counter("runtime.cache_bytes_written").inc(float(len(blob)))
@@ -160,35 +147,12 @@ class ArtifactCache:
 
     def load(self, kind: str, key: str) -> Optional[Any]:
         """Fetch an artifact; ``None`` on miss.  Corrupt entries are
-        deleted and reported as misses (with a ``cache_corrupt`` count).
-
-        Safe under concurrent writers: eviction only removes the exact
-        file (by inode) whose read failed.  Without that guard, a reader
-        tripping over a half-visible entry could race a concurrent
-        :meth:`store` — whose atomic ``os.replace`` lands a *fresh,
-        valid* artifact at the same path between the failed read and the
-        unlink — and delete the new entry (a read-modify-write on the
-        directory index that was not atomic).
-        """
+        evicted and reported as misses (with a ``cache_corrupt`` count)."""
+        payload = blobs.read_or_evict(self._path(kind, key), pickle.load,
+                                      "runtime.cache_corrupt")
         obs = get_registry()
-        path = self._path(kind, key)
-        corrupt_ino = None
-        try:
-            with open(path, "rb") as f:
-                corrupt_ino = os.fstat(f.fileno()).st_ino
-                payload = pickle.load(f)
-        except FileNotFoundError:
+        if payload is None:
             obs.counter("runtime.cache_misses").inc()
-            return None
-        except Exception:
-            obs.counter("runtime.cache_corrupt").inc()
-            obs.counter("runtime.cache_misses").inc()
-            try:
-                if (corrupt_ino is not None
-                        and os.stat(path).st_ino == corrupt_ino):
-                    os.unlink(path)
-            except OSError:
-                pass
             return None
         obs.counter("runtime.cache_hits").inc()
         return payload
@@ -223,17 +187,7 @@ class ArtifactCache:
         }
 
     def clear(self) -> int:
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for name in os.listdir(self.root):
-            if name.endswith((".pkl", ".tmp")):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return blobs.clear(self.root)
 
 
 # -------------------------------------------------------- default policy

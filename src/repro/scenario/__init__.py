@@ -3,7 +3,7 @@
 The paper's robustness argument (Sec. V) needs the sensing-to-action
 loop scored across *many* corruption regimes, not a handful of
 single-corruption severities.  This package turns that into a
-throughput problem and solves it three ways:
+throughput problem and solves it in three parts:
 
 * **specs** (:mod:`.spec`) — a :class:`Scenario` is a pure value
   (corruption stack × platform × traffic × seed × evaluator) with a
@@ -12,10 +12,9 @@ throughput problem and solves it three ways:
 * **replay** (:mod:`.store`) — a bucketed, content-addressed
   :class:`ReplayStore` makes overlapping re-sweeps near-free: only
   novel scenarios execute;
-* **sharding + fusion** (:mod:`.engine`) — novel scenarios fan out
-  over :class:`repro.runtime.WorkerPool` with submission-order merge
-  (byte-identical payloads at any worker count), and corruption stacks
-  apply through the fused single-pass ``corruption_stack`` kernel.
+* **sharding** (:mod:`.engine`) — novel scenarios fan out over
+  :class:`repro.runtime.WorkerPool` with submission-order merge
+  (byte-identical payloads at any worker count).
 
 ``repro scenario-bench`` drives the benchmark
 (:mod:`.driver`); ``repro verify`` holds a golden sweep trace.

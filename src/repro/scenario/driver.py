@@ -1,6 +1,6 @@
 """Scenario sweep benchmark driver (the tenth regression gate's engine).
 
-Runs one parameterized sweep four ways and distills the claims
+Runs one parameterized sweep three ways and distills the claims
 ``check_regressions.py`` gates on:
 
 1. **worker curve** — the full sweep at each worker count (no store),
@@ -16,9 +16,6 @@ Runs one parameterized sweep four ways and distills the claims
 3. **incremental extension** — the grid widened by one extra base seed,
    re-swept against the same store.  *Blocking claim*: exactly the
    novel scenarios execute; every overlapping scenario replays.
-4. **fused vs reference** — the corruption-stack kernel timed both ways
-   over a sample of stacks on a fixed scan.  *Blocking claim*: outputs
-   exactly equal (array-for-array); the fused speedup is reported.
 
 All claims except wall-clock scaling are deterministic; the payload
 hashes additionally feed the committed-baseline drift check.
@@ -29,18 +26,11 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
-
-from ..kernels import kernel_backend
 from ..runtime.pool import WorkerPool
-from ..runtime.seeding import spawn_rngs
-from ..sim.corruptions import CORRUPTIONS, apply_corruption_stack
-from ..sim.lidar import LidarConfig, LidarScanner
-from ..sim.scenes import sample_scene
+from ..sim.corruptions import CORRUPTIONS
 from .engine import run_sweep
 from .spec import SweepPlan, stack_grid
 from .store import ReplayStore
@@ -65,7 +55,6 @@ class ScenarioBenchConfig:
     extension_seeds: Tuple[int, ...] = (2,)  # incremental re-sweep delta
     evaluator: str = "scan_stats"
     worker_counts: Tuple[int, ...] = (1, 2, 4)
-    fused_sample: int = 64       # stacks timed in the kernel comparison
     max_scenarios: Optional[int] = None
 
     @classmethod
@@ -76,7 +65,7 @@ class ScenarioBenchConfig:
                    severities=(0.5, 1.0), depth=2,
                    platforms=("vehicle",), traffics=("urban",),
                    seeds=(0,), extension_seeds=(1,),
-                   worker_counts=(1, 2), fused_sample=12)
+                   worker_counts=(1, 2))
 
     def plan(self, seeds: Optional[Tuple[int, ...]] = None) -> SweepPlan:
         stacks = stack_grid(self.corruptions, self.severities, self.depth)
@@ -94,44 +83,9 @@ def _scenarios(config: ScenarioBenchConfig,
     return scenarios
 
 
-def _fused_comparison(config: ScenarioBenchConfig) -> Dict[str, Any]:
-    """Time the corruption-stack kernel both ways; require exact equality."""
-    rng = np.random.default_rng(1234)
-    scan = LidarScanner(LidarConfig(n_azimuth=36, n_elevation=8),
-                        rng=rng).scan(sample_scene(rng))
-    stacks = stack_grid(config.corruptions, config.severities,
-                        config.depth)[:config.fused_sample]
-    timings = {}
-    outputs = {}
-    for backend in ("reference", "vectorized"):
-        stage_rngs = [spawn_rngs(7000 + i, len(stack))
-                      for i, stack in enumerate(stacks)]
-        with kernel_backend(backend):
-            t0 = time.perf_counter()
-            outs = [apply_corruption_stack(scan, stack, rngs=rngs)
-                    for stack, rngs in zip(stacks, stage_rngs)]
-            timings[backend] = time.perf_counter() - t0
-        outputs[backend] = outs
-    equivalent = all(
-        np.array_equal(a.points, b.points)
-        and np.array_equal(a.labels, b.labels)
-        and np.array_equal(a.beam_ids, b.beam_ids)
-        and np.array_equal(a.ranges, b.ranges)
-        and np.array_equal(a.fired_mask, b.fired_mask)
-        for a, b in zip(outputs["reference"], outputs["vectorized"]))
-    return {
-        "stacks_compared": len(stacks),
-        "reference_s": timings["reference"],
-        "fused_s": timings["vectorized"],
-        "fused_speedup": (timings["reference"] / timings["vectorized"]
-                          if timings["vectorized"] > 0 else float("inf")),
-        "fused_equivalent": bool(equivalent),
-    }
-
-
 def run_scenario_sweep_benchmark(config: Optional[ScenarioBenchConfig] = None
                                  ) -> Dict[str, Any]:
-    """Execute all four phases; returns the full result payload."""
+    """Execute all three phases; returns the full result payload."""
     config = config or ScenarioBenchConfig()
     scenarios = _scenarios(config)
     n = len(scenarios)
@@ -179,13 +133,9 @@ def run_scenario_sweep_benchmark(config: Optional[ScenarioBenchConfig] = None
     finally:
         shutil.rmtree(tmp_root, ignore_errors=True)
 
-    # Phase 4: fused corruption kernel vs per-stage reference.
-    fused = _fused_comparison(config)
-
     claims = {
         "identical_across_workers": bool(identical_across_workers),
         "warm_speedup_ok": bool(warm_speedup >= WARM_SPEEDUP_TARGET),
-        "fused_equivalent": bool(fused["fused_equivalent"]),
         "incremental_only_novel": bool(
             incremental.executed == novel_expected
             and incremental.replayed == replay_expected),
@@ -225,7 +175,6 @@ def run_scenario_sweep_benchmark(config: Optional[ScenarioBenchConfig] = None
             "novel_expected": novel_expected,
         },
         "store": store_info,
-        "fused": fused,
         "payload_sha": shas[0] if shas else "",
         "claims": claims,
     }

@@ -13,9 +13,9 @@ one result row per scenario, in plan order, through three layers:
    results are independent of chunking and worker count; the pool's
    submission-order merge then makes the sweep payload **byte-identical
    at 1/2/4 workers** (asserted by the bench gate, not just promised).
-3. **fused corruption** — stacks apply through the two-backend
-   ``corruption_stack`` kernel (single-traversal fused path by default,
-   bit-identical to the per-stage reference).
+3. **evaluation** — each novel scenario is scanned, corrupted stage by
+   stage (:func:`repro.sim.apply_corruption_stack`) and scored by its
+   registered evaluator.
 
 Engine bookkeeping (executed/replayed counts, store traffic) stays on
 ``runtime.*`` counters so sweeps inside golden-trace scenarios record

@@ -111,9 +111,10 @@ class Scenario:
         Covers the stack (names, severities, order), platform and
         traffic *parameters* (not just their names — retuning a platform
         invalidates its cached results), seed and evaluator name.  The
-        kernel backend is deliberately excluded: the fused corruption
-        stack is bit-identical to the reference, so replayed results are
-        valid under either backend.
+        kernel backend is deliberately excluded: no step of a scenario
+        (scan, corruption stack, evaluator) dispatches through
+        :mod:`repro.kernels`, so replayed results are valid under
+        either backend.
         """
         return fingerprint("scenario", self.as_dict(),
                            PLATFORMS[self.platform], TRAFFIC[self.traffic])

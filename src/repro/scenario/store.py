@@ -6,16 +6,13 @@ so a re-sweep — same grid, reordered grid, extended grid, overlapping
 different grid — only executes scenarios whose results are genuinely
 novel and replays the rest from disk.
 
-This extends the :mod:`repro.runtime.cache` pattern to sweep scale.  An
-:class:`~repro.runtime.cache.ArtifactCache`-style file-per-entry layout
-would need 10^4 opens + unpickles to warm a full sweep; entries here are
-instead grouped into **256 bucketed pack files** (``pack-<2-hex>.pkl``,
-sharded on the key prefix), so a warm sweep costs at most 256 reads and
-a batch insert rewrites each touched pack once.  The durability story is
-the same as the artifact cache: atomic pack replacement (temp file +
-``os.replace``), corrupt or stale-layout packs treated as misses and
-evicted under an inode guard so a concurrent writer's fresh pack is
-never deleted by a reader that tripped over the old one.
+Layout: where the artifact cache keeps one file per entry (10^4 opens +
+unpickles to warm a full sweep), entries here are grouped into **256
+bucketed pack files** (``pack-<2-hex>.pkl``, sharded on the key prefix),
+so a warm sweep costs at most 256 reads and a batch insert rewrites each
+touched pack once.  Packs are written and read through
+:mod:`repro.runtime.store`: a corrupt or stale-layout pack reads as
+empty and is evicted.
 
 Entries embed :data:`repro.runtime.cache.CACHE_VERSION` in their keys
 indirectly (fingerprints are version-prefixed), so bumping the cache
@@ -32,10 +29,10 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from typing import Any, Dict, Iterable, Optional
 
 from ..obs.registry import get_registry
+from ..runtime import store as blobs
 
 __all__ = ["ReplayStore", "STORE_DIR_ENV", "STORE_LAYOUT_VERSION"]
 
@@ -44,17 +41,22 @@ STORE_DIR_ENV = "REPRO_SCENARIO_STORE"
 # Bump when the pack file layout changes; mismatched packs are evicted.
 STORE_LAYOUT_VERSION = 1
 
-_N_BUCKETS = 256
+
+def _decode_pack(f) -> Dict[str, Any]:
+    blob = pickle.load(f)
+    if (not isinstance(blob, dict)
+            or blob.get("layout") != STORE_LAYOUT_VERSION
+            or not isinstance(blob.get("entries"), dict)):
+        raise ValueError("stale pack layout")
+    return blob["entries"]
 
 
 class ReplayStore:
     """Bucketed pack-file store of ``fingerprint -> result`` entries."""
 
     def __init__(self, root: Optional[str] = None):
-        if root is None:
-            root = os.environ.get(STORE_DIR_ENV, "").strip() or os.path.join(
-                os.path.expanduser("~"), ".cache", "repro", "scenarios")
-        self.root = root
+        self.root = root if root is not None \
+            else blobs.default_root(STORE_DIR_ENV, "repro", "scenarios")
 
     # ------------------------------------------------------------- layout
     def _bucket(self, key: str) -> str:
@@ -64,45 +66,16 @@ class ReplayStore:
         return os.path.join(self.root, f"pack-{bucket}.pkl")
 
     def _read_pack(self, bucket: str) -> Dict[str, Any]:
-        """Load one pack; corrupt/stale packs are evicted and read as
-        empty (inode-guarded, same rationale as ArtifactCache.load)."""
-        obs = get_registry()
-        path = self._pack_path(bucket)
-        ino = None
-        try:
-            with open(path, "rb") as f:
-                ino = os.fstat(f.fileno()).st_ino
-                blob = pickle.load(f)
-            if (not isinstance(blob, dict)
-                    or blob.get("layout") != STORE_LAYOUT_VERSION
-                    or not isinstance(blob.get("entries"), dict)):
-                raise ValueError("stale pack layout")
-        except FileNotFoundError:
-            return {}
-        except Exception:
-            obs.counter("runtime.scenario_store_corrupt").inc()
-            try:
-                if ino is not None and os.stat(path).st_ino == ino:
-                    os.unlink(path)
-            except OSError:
-                pass
-            return {}
-        return blob["entries"]
+        """One pack's entries; missing or corrupt/stale packs are empty."""
+        entries = blobs.read_or_evict(self._pack_path(bucket), _decode_pack,
+                                      "runtime.scenario_store_corrupt")
+        return {} if entries is None else entries
 
     def _write_pack(self, bucket: str, entries: Dict[str, Any]) -> None:
-        os.makedirs(self.root, exist_ok=True)
         blob = pickle.dumps(
             {"layout": STORE_LAYOUT_VERSION, "entries": entries},
             protocol=pickle.HIGHEST_PROTOCOL)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, self._pack_path(bucket))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        blobs.write_atomic(self._pack_path(bucket), blob)
         obs = get_registry()
         obs.counter("runtime.scenario_store_pack_writes").inc()
         obs.counter("runtime.scenario_store_bytes_written").inc(
@@ -171,14 +144,4 @@ class ReplayStore:
                 "total_bytes": total_bytes}
 
     def clear(self) -> int:
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for name in os.listdir(self.root):
-            if name.endswith((".pkl", ".tmp")):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        return blobs.clear(self.root)

@@ -25,12 +25,9 @@ fails loudly instead.  Severity handling is normalized in one place:
 [0, 1], and severity 0.0 is a guaranteed *exact identity* — fresh
 arrays, bit-equal values, zero RNG draws — for every corruption.
 
-:func:`apply_corruption_stack` composes several corruptions in one call
-through the two-backend ``corruption_stack`` kernel
-(:mod:`repro.kernels.corruption_stack`): the ``reference`` backend is
-the per-stage composition of the functions below, the ``vectorized``
-backend fuses the whole stack into a single traversal over the scan —
-differentially tested to be bit-identical.
+:func:`apply_corruption_stack` composes several corruptions in one call:
+the stages run in order through the functions below, each on the
+previous stage's output.
 """
 
 from __future__ import annotations
@@ -276,8 +273,7 @@ def normalize_stack(stack: Sequence) -> Tuple[Tuple[str, float], ...]:
     ``.severity`` attributes (e.g. ``repro.scenario.CorruptionStage``).
     Names are validated (``ValueError`` listing valid choices) and
     severities clipped to [0, 1].  Severity-0 stages are *kept* — it is
-    :func:`apply_corruption_stack` that filters them, so both kernel
-    backends see an identical post-filter stage list.
+    :func:`apply_corruption_stack` that filters them.
     """
     stages: List[Tuple[str, float]] = []
     for stage in stack:
@@ -296,24 +292,18 @@ def normalize_stack(stack: Sequence) -> Tuple[Tuple[str, float], ...]:
 def apply_corruption_stack(scan: LidarScan, stack: Sequence,
                            rngs: Optional[Sequence] = None,
                            seed: Optional[int] = None) -> LidarScan:
-    """Compose a stack of corruptions through the two-backend kernel.
+    """Compose a stack of corruptions, applied stage by stage in order.
 
     ``stack`` is a sequence of ``(name, severity)`` pairs (or stage
     objects, see :func:`normalize_stack`); ``rngs`` must supply one
     *private* generator per stage (aliased generators are rejected via
     :func:`repro.runtime.assert_private_rngs`).  Alternatively pass
     ``seed`` to derive the per-stage streams with
-    :func:`repro.runtime.spawn_rngs`.  Severity-0 stages are filtered
-    out (each is an exact identity, so skipping them is semantics-free)
-    together with their generators, keeping the RNG stream consumption
-    of both backends identical.
-
-    Dispatches to the ``corruption_stack`` kernel: ``reference`` is the
-    sequential per-stage composition, ``vectorized`` a fused single-pass
-    applicator — bit-identical by construction and differentially
-    verified.
+    :func:`repro.runtime.spawn_rngs`.  Severity-0 stages are skipped
+    together with their generators (each is an exact identity, so
+    skipping it is semantics-free); a stack with no live stage returns
+    an exact copy.
     """
-    from ..kernels import get_kernel, kernel_timer
     from ..runtime.seeding import assert_private_rngs, spawn_rngs
 
     stages = normalize_stack(stack)
@@ -334,10 +324,8 @@ def apply_corruption_stack(scan: LidarScan, stack: Sequence,
             if stage[1] > 0.0]
     if not live:
         return _identity(scan)
-    live_stages = tuple(stage for stage, _ in live)
-    live_rngs = [rng if rng is not None
-                 else _require_rng(None, stage[0])
-                 for stage, rng in live]
-    kernel = get_kernel("corruption_stack")
-    with kernel_timer("corruption_stack", "apply"):
-        return kernel.apply(scan, live_stages, live_rngs)
+    out = scan
+    for (name, severity), rng in live:
+        out = CORRUPTIONS[name](out, severity=severity,
+                                rng=_require_rng(rng, name))
+    return out

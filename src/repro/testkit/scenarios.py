@@ -24,10 +24,10 @@ recording its intermediate tensors and metrics into a
   kernel backends and all three variants;
 * ``scenario_sweep`` — a corruption-stack sweep through the
   :mod:`repro.scenario` engine (Sec. V at sweep scale): grid expansion,
-  content-addressed replay against a temp store, fused stack
-  application.  Content-derived seeding plus the bit-identical fused
-  kernel make the whole trace — metric matrix, content-address keys,
-  payload hash — exact under every check.
+  content-addressed replay against a temp store, stage-by-stage stack
+  application.  Content-derived seeding plus a corruption path that no
+  kernel backend touches make the whole trace — metric matrix,
+  content-address keys, payload hash — exact under every check.
 
 Every scenario supports three variants: ``float`` (the golden
 reference), ``quantized`` (identical training, then all learned
@@ -513,11 +513,10 @@ _CONTROL_TOLERANCES = {
 def _scenario_sweep(rec: TraceRecorder, variant: str, pool=None) -> None:
     """A miniature corruption-stack sweep through the full scenario
     engine: grid expansion, content-addressed replay against a fresh
-    temp store, and stack application via the two-backend
-    ``corruption_stack`` kernel (fused by default, *bit-identical* to
-    the per-stage reference — so this trace declares zero kernel
-    drift).  Severity-0 stages are included deliberately: their exact-
-    identity filtering is part of the contract under test.  Runs the
+    temp store, and stage-by-stage stack application (no kernel
+    dispatch, so this trace declares zero kernel drift).  Severity-0
+    stages are included deliberately: their exact-identity filtering
+    is part of the contract under test.  Runs the
     engine at one worker internally (the pooled differential already
     executes the whole scenario inside a worker process; ``workers=1``
     never forks), and nothing host-specific — no paths, no wall-clock
@@ -559,7 +558,7 @@ def _scenario_sweep(rec: TraceRecorder, variant: str, pool=None) -> None:
 
 
 # The sweep is deterministic end to end — content-derived seeds, exact
-# replay, bit-identical fused kernel — so every field (including the
+# replay, no kernel dispatch — so every field (including the
 # content-address keys and payload hash) must reproduce bit-for-bit;
 # only the shared counter slack is declared.
 _SCENARIO_SWEEP_TOLERANCES = {
@@ -611,8 +610,8 @@ KERNEL_DRIFT_TOLERANCES: Dict[str, Dict[str, Dict[str, float]]] = {
     "federated_round": {},
     # Analytic loop, no kernel dispatch: zero drift by construction.
     "control_adaptation": {},
-    # The fused corruption stack is bit-identical to the reference by
-    # construction (same draws, same ufuncs, same order): zero drift.
+    # Scan, corruption stack and evaluator dispatch through no kernel:
+    # zero drift by construction.
     "scenario_sweep": {},
 }
 

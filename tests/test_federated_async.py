@@ -25,6 +25,7 @@ from repro.federated import (
     AsyncFLServer,
     FLClient,
     FLServer,
+    JobHandle,
     JobStore,
     make_fleet,
     participation_weights,
@@ -294,6 +295,10 @@ def test_killed_run_resumes_bit_identical(tmp_path):
     resumed = _run(seed=9, store=store)
     assert resumed["job_id"]
     assert {k: resumed[k] for k in reference} == reference
+    # The replayed waves after the wave-8 checkpoint are logged once.
+    job = JobHandle(str(tmp_path), "fedasync", resumed["job_id"])
+    assert [e["wave"] for e in job.events()] == \
+        list(range(1, resumed["waves"] + 1))
 
     # Completed jobs short-circuit to the stored result.
     memoized = _run(seed=9, store=store)

@@ -165,7 +165,6 @@ def test_driver_smoke_claims():
     claims = payload["claims"]
     assert claims["identical_across_workers"]
     assert claims["warm_speedup_ok"]
-    assert claims["fused_equivalent"]
     assert claims["incremental_only_novel"]
     assert payload["incremental"]["executed"] == \
         payload["incremental"]["novel_expected"]

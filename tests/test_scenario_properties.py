@@ -1,17 +1,15 @@
 """Property-based tests (hypothesis) for corruption-stack invariants.
 
-The fused corruption kernel is differentially tested against the
-sequential reference across randomly drawn stacks, severities, and
-seeds; the corruption primitives themselves are checked for the
-invariants the scenario engine relies on (severity-0 exact identity,
-bounded point counts, fired-mask preservation).
+Across randomly drawn stacks, severities, and seeds, the corruption
+primitives and their stack composition are checked for the invariants
+the scenario engine relies on (severity-0 exact identity, bounded point
+counts, fired-mask preservation, seed-path determinism).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import kernel_backend
 from repro.runtime import spawn_rngs
 from repro.sim import (
     CORRUPTIONS,
@@ -87,23 +85,6 @@ def test_stack_preserves_fired_mask_shape(stack, seed):
     assert out.fired_mask.shape == scan.fired_mask.shape
     assert out.points.shape[0] == out.labels.shape[0] == \
         out.beam_ids.shape[0] == out.ranges.shape[0]
-
-
-@given(stack_lists, st.integers(0, 500))
-@settings(max_examples=40, deadline=None)
-def test_fused_stack_matches_sequential_reference(stack, seed):
-    scan = _scan(seed)
-    rngs = spawn_rngs(seed + 1, len(stack))
-    rngs_ref = spawn_rngs(seed + 1, len(stack))
-    with kernel_backend("vectorized"):
-        fused = apply_corruption_stack(scan, stack, rngs=rngs)
-    with kernel_backend("reference"):
-        ref = apply_corruption_stack(scan, stack, rngs=rngs_ref)
-    np.testing.assert_array_equal(fused.points, ref.points)
-    np.testing.assert_array_equal(fused.labels, ref.labels)
-    np.testing.assert_array_equal(fused.beam_ids, ref.beam_ids)
-    np.testing.assert_array_equal(fused.fired_mask, ref.fired_mask)
-    np.testing.assert_array_equal(fused.ranges, ref.ranges)
 
 
 @given(stack_lists, st.integers(0, 200))
