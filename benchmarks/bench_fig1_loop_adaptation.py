@@ -22,8 +22,11 @@ from repro.core import (
     SensorReading,
 )
 from repro.neuromorphic import ann_energy_pj, snn_energy_pj
+from repro.runtime.bench import Claim, needs_base
 
-from bench_utils import print_table, save_result
+from bench_utils import RATIO_TOL, print_table, save_result
+
+BASELINE = "fig1_loop_adaptation"
 
 
 class PatrolEnv(Environment):
@@ -132,7 +135,7 @@ def run_loop(policy_cls, seed=0, cycles=300):
     }
 
 
-def run_fig1() -> dict:
+def run() -> dict:
     static = run_loop(StaticPolicy, seed=0)
     adaptive = run_loop(AdaptivePolicy, seed=0)
     # Event-driven vs clock-driven compute at the loop's actual activity.
@@ -145,7 +148,7 @@ def run_fig1() -> dict:
 
 
 def test_fig1_loop_adaptation(benchmark):
-    result = benchmark.pedantic(run_fig1, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     s, a = result["static"], result["adaptive"]
     print_table(
         "Fig. 1 concept — static vs risk-adaptive sensing loop "
@@ -164,10 +167,48 @@ def test_fig1_loop_adaptation(benchmark):
         [["clock-driven (MAC)", f"{result['clocked_pj'] / 1e6:.2f}"],
          ["event-driven (AC x rate)", f"{result['event_pj'] / 1e6:.3f}"],
          ["ratio", f"{result['clocked_pj'] / result['event_pj']:.0f}x"]])
-    save_result("fig1_loop_adaptation", result)
+    save_result(BASELINE, result)
 
     # Adaptive loop: large energy saving at near-matched hazard recall.
     assert a["energy_mj"] < 0.6 * s["energy_mj"]
     assert a["hazard_recall"] > s["hazard_recall"] - 0.25
     # Event-driven execution wins by ~ 1 / (rate * E_AC / E_MAC).
     assert result["event_pj"] < result["clocked_pj"] / 10
+
+
+# ------------------------------------------------------------ gate claims
+def _energy_ratio(r: dict) -> float:
+    return r["static"]["energy_mj"] / r["adaptive"]["energy_mj"]
+
+
+def _adaptive_wins(now, base):
+    s, a = now["static"]["energy_mj"], now["adaptive"]["energy_mj"]
+    return a < s, f"static {s:.0f} mJ vs adaptive {a:.0f} mJ"
+
+
+def _ratio_stable(now, base):
+    # The factor itself is numeric drift, so this one only warns.
+    r_now, r_base = _energy_ratio(now), _energy_ratio(base)
+    return (abs(r_now - r_base) <= RATIO_TOL * r_base,
+            f"ratio {r_now:.2f}x vs baseline {r_base:.2f}x "
+            f"(tol {RATIO_TOL:.0%})")
+
+
+def _recall_held(now, base):
+    a = now["adaptive"]["hazard_recall"]
+    s = now["static"]["hazard_recall"]
+    return a >= s - 0.25, f"adaptive recall {a:.2f} vs static {s:.2f}"
+
+
+def _event_driven_wins(now, base):
+    return (now["event_pj"] * 10 < now["clocked_pj"],
+            f"clocked {now['clocked_pj']:.3g} pJ vs event "
+            f"{now['event_pj']:.3g} pJ")
+
+
+CLAIMS = [
+    Claim("adaptive-wins-energy", True, _adaptive_wins),
+    Claim("energy-ratio-stable", False, needs_base(_ratio_stable)),
+    Claim("recall-held", True, _recall_held),
+    Claim("event-driven-wins", True, _event_driven_wins),
+]

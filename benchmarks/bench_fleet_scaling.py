@@ -16,16 +16,20 @@ hosts).
 
 from repro.fleet import FleetBenchConfig, run_fleet_benchmark
 from repro.fleet.driver import SPEEDUP_TARGET
+from repro.runtime.bench import Claim
 
 from bench_utils import print_table, save_result
 
+BASELINE = "bench_fleet_scaling"
 
-def run_fleet_scaling() -> dict:
-    return run_fleet_benchmark(FleetBenchConfig())
+
+def run(smoke: bool = False) -> dict:
+    return run_fleet_benchmark(FleetBenchConfig.smoke() if smoke
+                               else FleetBenchConfig())
 
 
 def test_fleet_scaling(benchmark):
-    result = benchmark.pedantic(run_fleet_scaling, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     cfg = result["config"]
     single = result["single_process"]
     rows = [["single-process", cfg["requests"],
@@ -56,7 +60,7 @@ def test_fleet_scaling(benchmark):
           f"{result['equivalence_max_abs_diff']:.2e}  "
           f"sheds below saturation: "
           f"{result['closed_loop_sheds'] + result['sub_saturation_sweep_sheds']}")
-    save_result("bench_fleet_scaling", result)
+    save_result(BASELINE, result)
 
     # Correctness claims are blocking everywhere; the throughput
     # multiple is asserted here (dedicated hosts) and only warned about
@@ -66,3 +70,37 @@ def test_fleet_scaling(benchmark):
     assert result["overload_sheds_engaged"]
     assert result["speedup_at_max_replicas"] >= SPEEDUP_TARGET, \
         result["speedup_at_max_replicas"]
+
+
+# ------------------------------------------------------------ gate claims
+def _throughput(now, base):
+    # Wall clock jitters with the host: the dedicated bench asserts the
+    # target factor, the gate only warns.
+    detail = (f"{now['speedup_at_max_replicas']:.2f}x at "
+              f"{max(now['config']['replica_counts'])} replicas")
+    if base is not None:
+        detail += f" vs baseline {base['speedup_at_max_replicas']:.2f}x"
+    return (now["speedup_at_max_replicas"] >= SPEEDUP_TARGET,
+            f"{detail} (target {SPEEDUP_TARGET:.0f}x)")
+
+
+CLAIMS = [
+    # Sharding across replica processes never changes a trust value.
+    Claim("fleet-serial-equivalent", True, lambda now, base: (
+        now["equivalence_ok"],
+        f"max |diff| {now['equivalence_max_abs_diff']:.2e} "
+        f"(tol {now['equivalence_tol']:.0e})")),
+    # The staleness admission contract: nothing shed below saturation.
+    Claim("zero-sheds-below-saturation", True, lambda now, base: (
+        now["zero_sheds_below_saturation"],
+        f"{now['closed_loop_sheds']} closed-loop + "
+        f"{now['sub_saturation_sweep_sheds']} sub-saturation sheds")),
+    # Sheds engaging at overload is the feature working; wall-clock
+    # dependent, so warning-only.
+    Claim("overload-sheds-engage", False, lambda now, base: (
+        now["overload_sheds_engaged"],
+        "staleness shedding engaged at >1x offered load"
+        if now["overload_sheds_engaged"]
+        else "no sheds at the overload sweep point")),
+    Claim("throughput-multiple", False, _throughput),
+]

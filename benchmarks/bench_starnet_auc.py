@@ -9,9 +9,15 @@ moderate severity and asserts the paper's band: every family detectable
 (AUC >= 0.85), internal sensor failures near-perfect.
 """
 
+from repro.runtime.bench import Claim, needs_base
 from repro.starnet import AUCExperimentConfig, run_auc_experiment
 
-from bench_utils import print_table, save_result
+from bench_utils import AUC_TOL, print_table, save_result
+
+BASELINE = "starnet_auc"
+FAMILIES = ("beam_missing", "cross_sensor", "crosstalk", "fog",
+            "motion_blur", "rain", "snow")
+AUC_FLOOR = 0.85
 
 PAPER_REFERENCE = {
     "crosstalk": 0.9658,
@@ -19,7 +25,7 @@ PAPER_REFERENCE = {
 }
 
 
-def run_auc(seed: int = 0) -> dict:
+def run(seed: int = 0) -> dict:
     config = AUCExperimentConfig(n_fit_scans=28, n_test_scans=14,
                                  severity=0.45, spsa_steps=30,
                                  vae_epochs=40, seed=seed)
@@ -27,7 +33,7 @@ def run_auc(seed: int = 0) -> dict:
 
 
 def test_starnet_auc(benchmark):
-    result = benchmark.pedantic(run_auc, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = []
     for name, auc in sorted(result.items(), key=lambda kv: -kv[1]):
         paper = PAPER_REFERENCE.get(name)
@@ -37,12 +43,45 @@ def test_starnet_auc(benchmark):
         "STARNet LiDAR-only anomaly detection AUC by corruption "
         "(likelihood regret via SPSA; no training on faults)",
         ["Corruption", "AUC (ours)", "AUC (paper)"], rows)
-    save_result("starnet_auc", result)
+    save_result(BASELINE, result)
 
-    assert set(result) == {"snow", "rain", "fog", "beam_missing",
-                           "motion_blur", "crosstalk", "cross_sensor"}
+    assert set(result) == set(FAMILIES)
     for name, auc in result.items():
-        assert auc >= 0.85, (name, auc)
+        assert auc >= AUC_FLOOR, (name, auc)
     # Internal sensor failures: the paper's strongest detections.
     assert result["crosstalk"] >= 0.9
     assert result["cross_sensor"] >= 0.9
+
+
+# ------------------------------------------------------------ gate claims
+# Detectability floors are shape claims; drift against the stored
+# baseline value is numeric and warning-only.
+def _auc_floor(family):
+    def check(now, base):
+        if family not in now:
+            return None
+        return (now[family] >= AUC_FLOOR,
+                f"{now[family]:.4f} (floor {AUC_FLOOR})")
+    return check
+
+
+def _auc_drift(family):
+    def check(now, base):
+        if family not in now or family not in base:
+            return None
+        return (abs(now[family] - base[family]) <= AUC_TOL,
+                f"{now[family]:.4f} vs baseline {base[family]:.4f} "
+                f"(tol {AUC_TOL})")
+    return needs_base(check)
+
+
+CLAIMS = [
+    Claim("same-corruption-families", True, needs_base(
+        lambda now, base: (set(now) == set(base),
+                           f"families {sorted(now)}"))),
+]
+for _family in FAMILIES:
+    CLAIMS += [
+        Claim(f"auc-floor-{_family}", True, _auc_floor(_family)),
+        Claim(f"auc-drift-{_family}", False, _auc_drift(_family)),
+    ]

@@ -11,9 +11,32 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Sequence
+import time
+from typing import Callable, Sequence, Tuple
+
+import numpy as np
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+# Gate tolerances against the committed baselines: relative, for
+# "roughly the same factor" comparisons, and absolute, for AUC and
+# accuracy drift.
+RATIO_TOL = 0.35
+AUC_TOL = 0.08
+
+
+def median_wall_s(fn: Callable[[], object], reps: int,
+                  inner: int = 1) -> Tuple[float, float]:
+    """Median and interquartile range of ``reps`` timed repetitions,
+    each of ``inner`` back-to-back calls, as seconds per call."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        for _ in range(inner):
+            fn()
+        times.append((time.perf_counter() - t0) / inner)
+    q1, median, q3 = np.percentile(times, (25, 50, 75))
+    return float(median), float(q3 - q1)
 
 
 def save_result(name: str, payload: dict) -> str:

@@ -22,7 +22,7 @@ Layers:
 * :mod:`repro.fleet.fabric` — :class:`ServingFleet`, the process fabric
   tying router, replicas, transport, and telemetry merge together.
 * :mod:`repro.fleet.driver` — the scaling benchmark behind
-  ``repro fleet-bench`` and ``benchmarks/bench_fleet_scaling.py``.
+  ``repro bench fleet_scaling`` (``benchmarks/bench_fleet_scaling.py``).
 """
 
 from .driver import (

@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,11 +98,10 @@ class FleetBenchConfig:
         return "recon" if self.compiled else "exact"
 
     @classmethod
-    def smoke(cls, replica_counts: Tuple[int, ...] = (1, 2),
-              compiled: bool = False) -> "FleetBenchConfig":
+    def smoke(cls, compiled: bool = False) -> "FleetBenchConfig":
         """CI-sized variant (seconds): fewer clients/cycles, tiny fit,
-        shorter sweep — same gates, smaller evidence."""
-        return cls(clients=6, cycles_per_client=5, replica_counts=replica_counts,
+        shorter sweep, 1/2 replicas — same gates, smaller evidence."""
+        return cls(clients=6, cycles_per_client=5, replica_counts=(1, 2),
                    max_batch_size=4, fit_epochs=5, per_batch_ms=6.0,
                    per_item_ms=3.0, sweep_fractions=(0.3, 2.5),
                    sweep_duration_s=0.8, compiled=compiled)

@@ -148,10 +148,40 @@ class Histogram:
         """The retained sample, in observation order.
 
         Exact for streams no longer than the reservoir; beyond that it is
-        the uniformly retained subset (used to replay worker histograms
-        into a parent registry).
+        the uniformly retained subset (shipped with the exact totals to
+        merge worker histograms into a parent registry).
         """
         return list(self._reservoir)
+
+    def merge(self, count: int, total: float, vmin: float, vmax: float,
+              samples: Sequence[float]) -> None:
+        """Fold in another histogram's state (see
+        :meth:`MetricsRegistry.worker_snapshot`).
+
+        Count, sum, min and max add exactly.  The other side's retained
+        samples join this reservoir weighted by how many observations
+        each stands for, so quantiles stay reservoir estimates of the
+        merged stream.
+        """
+        if not count:
+            return
+        weight = count / len(samples)
+        seen = float(self.count)
+        for v in samples:
+            seen += weight
+            if len(self._reservoir) < self.reservoir_size:
+                self._reservoir.append(float(v))
+                continue
+            self._lcg = (self._lcg * 6364136223846793005
+                         + 1442695040888963407) & 0xFFFFFFFFFFFFFFFF
+            j = (self._lcg >> 33) % int(seen)
+            if j < self.reservoir_size:
+                self._reservoir[j] = float(v)
+        self.count += count
+        self.total += total
+        self.min = min(self.min, vmin)
+        self.max = max(self.max, vmax)
+        self._dirty = True
 
     def cdf(self, v: float) -> float:
         """Empirical P(X <= v) over the retained sample."""
@@ -323,14 +353,17 @@ class MetricsRegistry:
     def worker_snapshot(self) -> dict:
         """Mergeable delta of this registry (for pool workers).
 
-        Counters/gauges ship their values; histograms ship their retained
-        raw samples so the parent can replay observations (exact up to
-        the reservoir size).
+        Counters/gauges ship their values; histograms ship their exact
+        count/sum/min/max plus their retained raw samples, so merged
+        totals are exact and merged quantiles are reservoir estimates.
         """
         return {
             "counters": {n: c.value for n, c in self._counters.items()},
             "gauges": {n: g.value for n, g in self._gauges.items()},
-            "histograms": {n: h.raw() for n, h in self._histograms.items()},
+            "histograms": {
+                n: {"count": h.count, "total": h.total, "min": h.min,
+                    "max": h.max, "samples": h.raw()}
+                for n, h in self._histograms.items()},
         }
 
     def merge_worker_snapshot(self, delta: dict) -> None:
@@ -338,16 +371,15 @@ class MetricsRegistry:
 
         Deterministic when applied in task submission order: counters
         add, gauges take the delta's value (last submission wins, as in
-        a serial run), histogram samples are replayed.
+        a serial run), histograms merge via :meth:`Histogram.merge`.
         """
         for name, value in sorted(delta.get("counters", {}).items()):
             self.counter(name).inc(value)
         for name, value in sorted(delta.get("gauges", {}).items()):
             self.gauge(name).set(value)
-        for name, values in sorted(delta.get("histograms", {}).items()):
-            h = self.histogram(name)
-            for v in values:
-                h.observe(v)
+        for name, h in sorted(delta.get("histograms", {}).items()):
+            self.histogram(name).merge(h["count"], h["total"], h["min"],
+                                       h["max"], h["samples"])
 
 
 # -------------------------------------------------------- active registry

@@ -6,15 +6,14 @@ on-disk memoization of expensive artifacts (:class:`ArtifactCache`, on
 the durable-store layer :mod:`.store` that every on-disk store shares),
 and explicit per-task seed derivation (:func:`spawn_rngs`).  Federated
 rounds (``FLServer.run_round(pool=...)``), the benchmark suite
-(``repro bench --workers N``), and the R-MAE/VAE/Koopman pretraining
+(``repro bench NAME... --workers N``, driven from the bench registry
+in :mod:`.bench`), and the R-MAE/VAE/Koopman pretraining
 paths all execute through it; ``repro.obs`` counters and spans record
 tasks, per-worker wall time, and cache hits/misses so ``repro profile``
 sees the speedup.
 """
 
-from .bench import (BENCHES, COMPILE_BENCHES, CONTROL_BENCHES,
-                    DEFAULT_BENCHES, FEDERATED_BENCHES, FLEET_BENCHES,
-                    MICRO_BENCHES, SCENARIO_BENCHES, SERVING_BENCHES,
+from .bench import (BENCHES, DEFAULT_BENCHES, GATED_BENCHES, Claim,
                     run_bench, run_suite)
 from .cache import (
     CACHE_DIR_ENV,
@@ -43,7 +42,6 @@ __all__ = [
     "CACHE_DIR_ENV", "CACHE_ENV",
     "spawn_seeds", "spawn_rngs", "assert_private_rngs",
     "SEED_AUDIT_MIN", "SeedCollisionError",
-    "BENCHES", "DEFAULT_BENCHES", "MICRO_BENCHES", "SERVING_BENCHES",
-    "FLEET_BENCHES", "COMPILE_BENCHES", "CONTROL_BENCHES",
-    "FEDERATED_BENCHES", "SCENARIO_BENCHES", "run_bench", "run_suite",
+    "BENCHES", "DEFAULT_BENCHES", "GATED_BENCHES", "Claim", "run_bench",
+    "run_suite",
 ]

@@ -1,118 +1,136 @@
-"""Parallel benchmark driver: run the suite's ``run_*`` entry points
-concurrently and aggregate their JSON results.
+"""Benchmark registry: every benchmark declared once, driven from one place.
 
-Every benchmark under ``benchmarks/`` exposes a pure ``run_<name>()``
-function (the pytest-benchmark wrapper calls it once and asserts shape
-claims).  Those entry points are independent, fully seeded, and return
-plain dicts — exactly the task contract of
-:class:`~repro.runtime.pool.WorkerPool` — so ``repro bench --workers N``
-fans them out over processes and merges results in registry order.
+Each :data:`BENCHES` entry names a module under ``benchmarks/`` whose
+entry point is a pure, explicitly seeded function returning a plain
+dict.  The ten *gated* benches additionally declare, in that module:
+
+* ``run(smoke=False)`` — the entry point (``smoke=True`` selects the
+  seconds-scale CI variant where the entry says it has one);
+* ``CLAIMS`` — the shape claims the paper's evaluation stands on, as
+  :class:`Claim` objects;
+* ``BASELINE`` — the stem of the committed ``benchmarks/results/`` JSON
+  the pytest-benchmark wrapper writes and the regression gate diffs.
+
+``repro bench NAME...`` runs entries through :func:`run_suite` under a
+:class:`~repro.runtime.pool.WorkerPool` and evaluates their claims
+without a baseline; ``benchmarks/check_regressions.py`` runs the gated
+entries and evaluates the same claims against the committed baselines.
 Results are **bit-identical for any worker count** because each bench
 seeds itself explicitly; only the wall-clock metadata varies.
 
-The default set covers the fast shape-level benches (the same tier the
-CI regression gate replays); heavier paper artifacts (Table I, Fig. 7,
-Fig. 9) are opt-in by name.
+The default set covers the fast shape-level benches; heavier paper
+artifacts (Table I, Fig. 7, Fig. 9) and the timing-valued or
+process-spawning benches (kernels, serving, fleet, compile, control,
+federated, scenario) are opt-in by name.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
+import platform
+import subprocess
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .pool import WorkerPool
 
-__all__ = ["BENCHES", "DEFAULT_BENCHES", "MICRO_BENCHES", "SERVING_BENCHES",
-           "FLEET_BENCHES", "COMPILE_BENCHES", "CONTROL_BENCHES",
-           "FEDERATED_BENCHES", "SCENARIO_BENCHES", "run_bench",
+__all__ = ["Bench", "BENCHES", "Claim", "DEFAULT_BENCHES", "GATED_BENCHES",
+           "format_outcome", "load_bench", "needs_base", "run_bench",
            "run_suite"]
 
-# name -> (module file under benchmarks/, run function). Every function
-# is pure and explicitly seeded; see assert in run_bench.
-BENCHES: Dict[str, Tuple[str, str]] = {
-    "fig1_loop_adaptation": ("bench_fig1_loop_adaptation", "run_fig1"),
-    "fig2_imc": ("bench_fig2_imc", "run_imc"),
-    "fig5a_model_macs": ("bench_fig5a_model_macs", "run_fig5a"),
-    "fig5b_disturbance": ("bench_fig5b_disturbance", "run_fig5b"),
-    "fig11_federated": ("bench_fig11_federated", "run_fig11"),
-    "table2_lidar_energy": ("bench_table2_lidar_energy", "run_table2"),
-    "starnet_auc": ("bench_starnet_auc", "run_auc"),
-    "codesign": ("bench_codesign", "run_codesign"),
-    "speculative_decoding": ("bench_speculative_decoding",
-                             "run_speculative"),
-    "multiagent_energy": ("bench_claim_multiagent_energy", "run_swarm"),
-    "sensing_fraction": ("bench_claim_sensing_fraction", "run_sweep"),
-    "lora_adaptation": ("bench_lora_adaptation", "run_lora"),
-    "ablation_halo_precision": ("bench_ablation_halo_precision",
-                                "run_ablation"),
-    "ablation_koopman_spectrum": ("bench_ablation_koopman_spectrum",
-                                  "run_ablation"),
-    "ablation_snn_dynamics": ("bench_ablation_snn_dynamics",
-                              "run_ablation"),
-    "ablation_starnet_scores": ("bench_ablation_starnet_scores",
-                                "run_ablation"),
-    "table1_detection_ap": ("bench_table1_detection_ap", "run_table1"),
-    "fig7_starnet_recovery": ("bench_fig7_starnet_recovery", "run_fig7"),
-    "fig9_optical_flow": ("bench_fig9_optical_flow", "run_fig9"),
-    "ablation_masking": ("bench_ablation_masking", "run_ablation"),
-    "kernel_hotpaths": ("bench_kernel_hotpaths", "run_kernel_hotpaths"),
-    "serving_throughput": ("bench_serving_throughput",
-                           "run_serving_throughput"),
-    "fleet_scaling": ("bench_fleet_scaling", "run_fleet_scaling"),
-    "compile_stages": ("bench_compile", "run_compile_stages"),
-    "control_adaptation": ("bench_control_adaptation",
-                           "run_control_adaptation"),
-    "federated_async": ("bench_federated_async", "run_federated_async"),
-    "scenario_sweep": ("bench_scenario_sweep", "run_scenario_sweep"),
+#: ``(ok, detail)``, or ``None`` when the claim does not apply.
+Outcome = Optional[Tuple[bool, str]]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One named shape claim.
+
+    ``check(now, base)`` receives the fresh payload and the committed
+    baseline (``None`` outside the regression gate) and returns
+    ``(ok, detail)``, or ``None`` when the claim does not apply: it
+    needs a baseline and there is none, or it is a scale claim on a
+    smoke run.  A failed blocking claim fails the run; a failed
+    non-blocking claim is reported as a warning.
+    """
+
+    name: str
+    blocking: bool
+    check: Callable[[dict, Optional[dict]], Outcome]
+
+
+def needs_base(check: Callable[[dict, dict], Tuple[bool, str]]
+               ) -> Callable[[dict, Optional[dict]], Outcome]:
+    """Wrap a check that compares against the baseline: without one it
+    does not apply."""
+    return lambda now, base: None if base is None else check(now, base)
+
+
+@dataclass(frozen=True)
+class Bench:
+    """One registry entry: where the bench lives and how it is run."""
+
+    module: str              # file stem under benchmarks/
+    func: str = "run"        # entry point in that module
+    default: bool = False    # in the fast set run when no names are given
+    gated: bool = False      # declares CLAIMS + BASELINE for the gate
+    smoke: bool = False      # run(smoke=True) is a seconds-scale variant
+
+
+# Registry order is run order; the gated entries appear in gate order.
+BENCHES: Dict[str, Bench] = {
+    "fig1_loop_adaptation": Bench("bench_fig1_loop_adaptation",
+                                  default=True, gated=True),
+    "fig2_imc": Bench("bench_fig2_imc", "run_imc", default=True),
+    "starnet_auc": Bench("bench_starnet_auc", default=True, gated=True),
+    "fig5a_model_macs": Bench("bench_fig5a_model_macs", default=True,
+                              gated=True),
+    "fig5b_disturbance": Bench("bench_fig5b_disturbance", "run_fig5b"),
+    "fig11_federated": Bench("bench_fig11_federated", "run_fig11",
+                             default=True),
+    "table2_lidar_energy": Bench("bench_table2_lidar_energy", "run_table2"),
+    "codesign": Bench("bench_codesign", "run_codesign", default=True),
+    "speculative_decoding": Bench("bench_speculative_decoding",
+                                  "run_speculative", default=True),
+    "multiagent_energy": Bench("bench_claim_multiagent_energy", "run_swarm",
+                               default=True),
+    "sensing_fraction": Bench("bench_claim_sensing_fraction", "run_sweep"),
+    "lora_adaptation": Bench("bench_lora_adaptation", "run_lora"),
+    "ablation_halo_precision": Bench("bench_ablation_halo_precision",
+                                     "run_ablation"),
+    "ablation_koopman_spectrum": Bench("bench_ablation_koopman_spectrum",
+                                       "run_ablation"),
+    "ablation_snn_dynamics": Bench("bench_ablation_snn_dynamics",
+                                   "run_ablation"),
+    "ablation_starnet_scores": Bench("bench_ablation_starnet_scores",
+                                     "run_ablation"),
+    "table1_detection_ap": Bench("bench_table1_detection_ap", "run_table1"),
+    "fig7_starnet_recovery": Bench("bench_fig7_starnet_recovery",
+                                   "run_fig7"),
+    "fig9_optical_flow": Bench("bench_fig9_optical_flow", "run_fig9"),
+    "ablation_masking": Bench("bench_ablation_masking", "run_ablation"),
+    # Timing-valued and/or process-spawning: kept out of the default
+    # set, so the cross-worker bit-identity promise above is not theirs
+    # and they never run nested inside a pool worker unasked.
+    "kernel_hotpaths": Bench("bench_kernel_hotpaths", gated=True),
+    "serving_throughput": Bench("bench_serving_throughput", gated=True,
+                                smoke=True),
+    "fleet_scaling": Bench("bench_fleet_scaling", gated=True, smoke=True),
+    "compile_stages": Bench("bench_compile", gated=True, smoke=True),
+    "control_adaptation": Bench("bench_control_adaptation", gated=True,
+                                smoke=True),
+    "federated_async": Bench("bench_federated_async", gated=True,
+                             smoke=True),
+    "scenario_sweep": Bench("bench_scenario_sweep", gated=True, smoke=True),
 }
 
-# The fast, CI-friendly subset (seconds each, minutes total serial).
-DEFAULT_BENCHES: Tuple[str, ...] = (
-    "fig1_loop_adaptation", "fig2_imc", "fig5a_model_macs", "codesign",
-    "speculative_decoding", "multiagent_energy", "fig11_federated",
-    "starnet_auc",
-)
-
-# Wall-clock micro-benchmarks (``repro bench --micro``).  Kept out of
-# DEFAULT_BENCHES: their results are timings, so the cross-worker
-# bit-identity promise above does not apply to them.
-MICRO_BENCHES: Tuple[str, ...] = ("kernel_hotpaths",)
-
-# Serving benchmarks (``repro bench --serving``).  Also timing-valued,
-# and they spawn their own service threads — keep them out of the
-# deterministic default set for the same reason as MICRO_BENCHES.
-SERVING_BENCHES: Tuple[str, ...] = ("serving_throughput",)
-
-# Fleet benchmarks (``repro bench --fleet``).  Timing-valued *and*
-# process-spawning (replica fleets of their own), so they must never
-# run nested inside a pool worker by default.
-FLEET_BENCHES: Tuple[str, ...] = ("fleet_scaling",)
-
-# Compile benchmarks (``repro bench --compile`` / ``repro
-# compile-bench``).  Timing-valued like MICRO_BENCHES, so they stay out
-# of the deterministic default set.
-COMPILE_BENCHES: Tuple[str, ...] = ("compile_stages",)
-
-# Control-plane benchmarks (``repro bench --control`` / ``repro
-# control-bench``).  Fully analytic — no RNG, no clock reads — so the
-# payload (not just the results subtree) is bit-identical across runs
-# and hosts; the regression gate diffs it byte-for-byte.
-CONTROL_BENCHES: Tuple[str, ...] = ("control_adaptation",)
-
-# Federated fleet benchmarks (``repro bench --federated`` / ``repro
-# fed-bench``).  The async arm spawns its own worker pools for the
-# cross-worker identity sweep, so like FLEET_BENCHES these must never
-# run nested inside a pool worker by default.
-FEDERATED_BENCHES: Tuple[str, ...] = ("federated_async",)
-
-# Scenario sweep benchmarks (``repro bench --scenarios`` / ``repro
-# scenario-bench``).  The worker-identity curve spawns its own pools,
-# so like FLEET_BENCHES these must never run nested inside a pool
-# worker by default.
-SCENARIO_BENCHES: Tuple[str, ...] = ("scenario_sweep",)
+DEFAULT_BENCHES: Tuple[str, ...] = tuple(
+    n for n, b in BENCHES.items() if b.default)
+GATED_BENCHES: Tuple[str, ...] = tuple(
+    n for n, b in BENCHES.items() if b.gated)
 
 
 def benchmarks_dir() -> str:
@@ -122,15 +140,17 @@ def benchmarks_dir() -> str:
     return os.path.join(src_parent, "benchmarks")
 
 
-def run_bench(name: str) -> Tuple[str, dict, float]:
-    """Execute one registered bench; returns ``(name, result, wall_s)``.
+def _check_known(names: Iterable[str]) -> None:
+    unknown = [n for n in names if n not in BENCHES]
+    if unknown:
+        raise KeyError(f"unknown benches: {', '.join(unknown)}; choose "
+                       f"from {', '.join(sorted(BENCHES))}")
 
-    Module-level and argument-pure so it can cross a process boundary.
-    """
-    if name not in BENCHES:
-        raise KeyError(f"unknown bench {name!r}; choose from "
-                       f"{', '.join(sorted(BENCHES))}")
-    module_name, func_name = BENCHES[name]
+
+def load_bench(name: str):
+    """Import the module behind a registered bench (fresh each call)."""
+    _check_known([name])
+    module_name = BENCHES[name].module
     bench_dir = benchmarks_dir()
     path = os.path.join(bench_dir, f"{module_name}.py")
     if not os.path.exists(path):
@@ -140,34 +160,86 @@ def run_bench(name: str) -> Tuple[str, dict, float]:
     spec = importlib.util.spec_from_file_location(module_name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    fn = getattr(module, func_name)
+    return module
+
+
+def run_bench(name: str, smoke: bool = False) -> Tuple[str, dict, float]:
+    """Execute one registered bench; returns ``(name, result, wall_s)``.
+
+    Module-level and argument-pure so it can cross a process boundary.
+    """
+    fn = getattr(load_bench(name), BENCHES[name].func)
     t0 = time.perf_counter()
-    result = fn()
+    result = fn(smoke=True) if smoke else fn()
     return name, result, time.perf_counter() - t0
 
 
+def _run_task(task: Tuple[str, bool]) -> Tuple[str, dict, float]:
+    return run_bench(*task)
+
+
+def format_outcome(claim: Claim, outcome: Outcome) -> str:
+    """One report line, in the regression gate's format."""
+    if outcome is None:
+        return f"  [n/a ] {claim.name}: does not apply"
+    ok, detail = outcome
+    status = "ok  " if ok else ("FAIL" if claim.blocking else "warn")
+    return f"  [{status}] {claim.name}: {detail}"
+
+
+def _git_sha() -> Optional[str]:
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=os.path.dirname(benchmarks_dir()),
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _provenance() -> dict:
+    """What produced a run: code version, toolchain and backends."""
+    import numpy
+
+    from ..compile import active_mode
+    from ..kernels import active_backend
+    return {
+        "git_sha": _git_sha(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "kernel_backend": active_backend(),
+        "compile_mode": active_mode(),
+        "host_cpus": os.cpu_count(),
+    }
+
+
 def run_suite(names: Optional[Iterable[str]] = None,
-              workers: Optional[int] = None) -> dict:
+              workers: Optional[int] = None, smoke: bool = False) -> dict:
     """Run benches (default: the fast subset) under a worker pool.
 
     Returns ``{"results": {...}, "meta": {...}}`` where ``results`` is
     deterministic (identical for any worker count) and ``meta`` carries
-    the timing facts of *this* run.
+    the timing and provenance facts of *this* run.  Raises
+    :class:`KeyError` on an unknown name and :class:`ValueError` on
+    ``smoke`` for a bench without a smoke variant.
     """
     selected: List[str] = list(names) if names else list(DEFAULT_BENCHES)
-    unknown = [n for n in selected if n not in BENCHES]
-    if unknown:
-        raise KeyError(f"unknown benches: {', '.join(unknown)}; choose "
-                       f"from {', '.join(sorted(BENCHES))}")
+    _check_known(selected)
+    if smoke:
+        no_smoke = [n for n in selected if not BENCHES[n].smoke]
+        if no_smoke:
+            raise ValueError(f"no smoke variant: {', '.join(no_smoke)}")
     t0 = time.perf_counter()
     with WorkerPool(workers) as pool:
-        outs = pool.map(run_bench, selected, label="bench")
+        outs = pool.map(_run_task, [(n, smoke) for n in selected],
+                        label="bench")
     wall_s = time.perf_counter() - t0
     return {
         "results": {name: result for name, result, _ in outs},
         "meta": {
             "workers": pool.workers,
-            "host_cpus": os.cpu_count(),
+            "smoke": smoke,
+            **_provenance(),
             "wall_s": round(wall_s, 3),
             "bench_wall_s": {name: round(w, 3) for name, _, w in outs},
         },

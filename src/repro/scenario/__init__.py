@@ -16,7 +16,7 @@ throughput problem and solves it in three parts:
   :class:`repro.runtime.WorkerPool` with submission-order merge
   (byte-identical payloads at any worker count).
 
-``repro scenario-bench`` drives the benchmark
+``repro bench scenario_sweep`` drives the benchmark
 (:mod:`.driver`); ``repro verify`` holds a golden sweep trace.
 """
 

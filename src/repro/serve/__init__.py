@@ -16,7 +16,8 @@ Layers:
 * :mod:`repro.serve.services` — batch runners for each pillar and
   loop-facing :class:`Monitor`/:class:`Perception` wrappers.
 * :mod:`repro.serve.driver` — the N-concurrent-loops benchmark behind
-  ``repro serve-bench`` and ``benchmarks/bench_serving_throughput.py``.
+  ``repro bench serving_throughput`` (``benchmarks/
+  bench_serving_throughput.py``).
 """
 
 from .driver import FeatureEnv, ServingBenchConfig, run_serving_benchmark

@@ -88,6 +88,28 @@ def test_histogram_reservoir_is_deterministic():
     assert build() == build()
 
 
+def test_worker_histogram_merge_keeps_exact_totals():
+    # A busy worker overflows its 1,024-slot reservoir; the parent must
+    # still see every observation in count/sum/min/max.
+    values = [(i % 1000) * 1.1e-3 for i in range(100_000)]
+    worker = MetricsRegistry()
+    for v in values:
+        worker.histogram("kernels.op_s").observe(v)
+    parent = MetricsRegistry()
+    parent.histogram("kernels.op_s").observe(5.0)
+    for _ in range(2):  # two workers shipping the same delta
+        parent.merge_worker_snapshot(worker.worker_snapshot())
+
+    merged = parent.histogram("kernels.op_s")
+    assert merged.count == 2 * len(values) + 1
+    assert merged.total == pytest.approx(2 * sum(values) + 5.0)
+    assert merged.min == 0.0
+    assert merged.max == 5.0
+    # Quantiles stay reservoir estimates of the merged stream.
+    assert merged.quantile(0.5) == pytest.approx(np.median(values),
+                                                 abs=0.05)
+
+
 # ------------------------------------------------------------------ spans
 def test_span_nesting_and_timing_monotonicity():
     reg = MetricsRegistry()
