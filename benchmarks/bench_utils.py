@@ -25,16 +25,15 @@ RATIO_TOL = 0.35
 AUC_TOL = 0.08
 
 
-def median_wall_s(fn: Callable[[], object], reps: int,
-                  inner: int = 1) -> Tuple[float, float]:
-    """Median and interquartile range of ``reps`` timed repetitions,
-    each of ``inner`` back-to-back calls, as seconds per call."""
+def median_wall_s(fn: Callable[[], object],
+                  reps: int) -> Tuple[float, float]:
+    """Median and interquartile range, in seconds, of ``reps`` timed
+    calls of ``fn``."""
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        times.append((time.perf_counter() - t0) / inner)
+        fn()
+        times.append(time.perf_counter() - t0)
     q1, median, q3 = np.percentile(times, (25, 50, 75))
     return float(median), float(q3 - q1)
 

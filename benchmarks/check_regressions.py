@@ -25,9 +25,6 @@ JSON for scale) and evaluates every claim against the baseline:
 * ``fleet_scaling``        — the sharded serving fleet answers every
   request with the single-process trust value and sheds nothing below
   saturation;
-* ``compile_stages``       — compiled float execution stays
-  bit-identical to eager with zero steady-state allocations, int8 drift
-  stays inside each layer's analytic bound, and fused+arena wins;
 * ``control_adaptation``   — the adaptive control plane matches the
   best static config's accuracy at no more than its energy, and the
   payload is bit-identical to the committed baseline;

@@ -1,69 +1,14 @@
-"""repro.compile: trace-and-compile execution layer for the nn substrate.
+"""repro.compile: the execution-mode name recorded in benchmark provenance.
 
-The sensing-to-action argument (paper Sec. II-IV) is that edge wins come
-from co-optimizing the loop down to the execution substrate.  This
-package is that substrate for the numpy models: **capture** a module's
-inference forward into an explicit op graph (:func:`trace`), **lower**
-it through elementwise fusion and buffer planning
-(:func:`~repro.compile.fusion.build_program`,
-:class:`~repro.compile.arena.BufferArena`) so steady-state inference
-does zero fresh allocations, and — for HaLo-selected int8 precision —
-execute **true int8 GEMMs** (:mod:`repro.compile.qint8`) instead of
-fake-quantized float.
-
-Usage::
-
-    from repro.compile import compile_module, compile_mode
-
-    fast = compile_module(model)            # explicit artifact
-    y = fast.forward_batch(x)
-
-    with compile_mode("compiled"):          # or REPRO_COMPILE=compiled:
-        model.forward_batch(x)              # Sequentials route through
-                                            # cached compiled artifacts
-
-Every compiled artifact is differentially tested against the eager
-reference: ``repro verify`` gains a ``compiled`` check (all five golden
-scenarios, int8 exercised for the federated round) and
-``benchmarks/bench_compile.py`` prices each lever — capture, fusion,
-arena, int8 — with the JSON gated in CI.
+Every model runs on the one eager path; there is no other mode to
+select.  :func:`active_mode` is kept only because the frozen
+``perfbench/harness.py`` provenance imports it to record a
+``compile_mode`` field.  Nothing under ``src/`` calls it.
 """
 
-from .arena import BufferArena, FreshAllocator
-from .executor import (
-    COMPILE_ENV,
-    MODES,
-    CompiledModule,
-    CompileError,
-    CompileFallbackWarning,
-    CompileStats,
-    active_mode,
-    compile_mode,
-    compile_module,
-    compile_stats,
-    force_mode,
-    reset_compile_stats,
-)
-from .fusion import PRECISIONS, Program, build_program
-from .qint8 import Int8Dense
-from .tracer import (
-    ELEMENTWISE_OPS,
-    Graph,
-    Node,
-    TraceError,
-    TraceValue,
-    register_trace_rule,
-    supported_layers,
-    trace,
-)
+__all__ = ["active_mode"]
 
-__all__ = [
-    "trace", "Graph", "Node", "TraceValue", "TraceError",
-    "register_trace_rule", "supported_layers", "ELEMENTWISE_OPS",
-    "build_program", "Program", "PRECISIONS",
-    "BufferArena", "FreshAllocator", "Int8Dense",
-    "CompiledModule", "compile_module", "CompileError",
-    "CompileFallbackWarning",
-    "compile_mode", "force_mode", "active_mode", "MODES", "COMPILE_ENV",
-    "CompileStats", "compile_stats", "reset_compile_stats",
-]
+
+def active_mode() -> str:
+    """The execution mode every model runs in: always ``"eager"``."""
+    return "eager"

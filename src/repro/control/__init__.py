@@ -8,9 +8,9 @@ package closes that loop over the repo's existing machinery:
 * **Actuators** (:mod:`repro.control.actuators`) wrap the knobs that
   already exist — R-MAE sensing fraction, STARNet's exact-vs-SPSA
   likelihood-regret method, micro-batcher ``max_batch_size`` /
-  ``max_wait_ms``, the kernel backend, the compile mode, fleet spill
-  depth, HaLo-style precision bits — behind declared bounds/choices
-  with scoped apply/revert (:meth:`ActuatorRegistry.scope`).
+  ``max_wait_ms``, the kernel backend, fleet spill depth, HaLo-style
+  precision bits — behind declared bounds/choices with scoped
+  apply/revert (:meth:`ActuatorRegistry.scope`).
 * **Signals** (:mod:`repro.control.signals`) are what context looks
   like: trust scores, queue depths, windowed energy-ledger deltas.
 * The **Controller** (:mod:`repro.control.controller`) maps signals to
@@ -36,7 +36,6 @@ from .actuators import (
     ControlError,
     RuntimeActuator,
     attr_actuator,
-    compile_mode_actuator,
     config_field_actuator,
     fleet_spill_actuator,
     kernel_backend_actuator,
@@ -61,7 +60,7 @@ from .signals import ContextSnapshot, EnergyWindow, SignalSource
 __all__ = [
     "ControlError", "RuntimeActuator", "ActuatorRegistry",
     "attr_actuator", "config_field_actuator", "kernel_backend_actuator",
-    "compile_mode_actuator", "score_method_actuator",
+    "score_method_actuator",
     "microbatcher_actuators", "fleet_spill_actuator",
     "precision_bits_actuator",
     "ContextSnapshot", "EnergyWindow", "SignalSource",

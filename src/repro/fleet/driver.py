@@ -56,6 +56,7 @@ __all__ = ["FleetBenchConfig", "MonitorRunnerFactory",
            "EmulatedServiceRunner", "run_fleet_benchmark"]
 
 SPEEDUP_TARGET = 2.0  # fleet@max-replicas over single-process BatchedService
+SCORE_METHOD = "exact"  # the likelihood-regret method every monitor uses
 
 
 @dataclass(frozen=True)
@@ -86,25 +87,15 @@ class FleetBenchConfig:
     sweep_staleness_budget_ms: float = 150.0
     inprocess: bool = False
     transport: str = "auto"
-    # Run every replica's monitor through repro.compile (traced/fused/
-    # arena artifacts).  Compiled replicas are forward-only, so the
-    # scorer switches to the reconstruction method — for *both* the
-    # replicas and the parent reference, keeping the equivalence gate a
-    # compiled-vs-eager differential over identical models.
-    compiled: bool = False
-
-    @property
-    def score_method(self) -> str:
-        return "recon" if self.compiled else "exact"
 
     @classmethod
-    def smoke(cls, compiled: bool = False) -> "FleetBenchConfig":
+    def smoke(cls) -> "FleetBenchConfig":
         """CI-sized variant (seconds): fewer clients/cycles, tiny fit,
         shorter sweep, 1/2 replicas — same gates, smaller evidence."""
         return cls(clients=6, cycles_per_client=5, replica_counts=(1, 2),
                    max_batch_size=4, fit_epochs=5, per_batch_ms=6.0,
                    per_item_ms=3.0, sweep_fractions=(0.3, 2.5),
-                   sweep_duration_s=0.8, compiled=compiled)
+                   sweep_duration_s=0.8)
 
 
 class EmulatedServiceRunner:
@@ -133,23 +124,13 @@ class EmulatedServiceRunner:
 
 class _FeatureBatchRunner:
     """Batch runner over raw feature vectors (shared-memory friendly:
-    requests are plain arrays, results are plain floats).  With
-    ``compiled=True`` every batch scores inside a
-    ``compile_mode("compiled")`` scope, so the monitor's VAE Sequentials
-    route through cached compiled artifacts — built lazily in the
-    replica process on its first batch."""
+    requests are plain arrays, results are plain floats)."""
 
-    def __init__(self, monitor: STARNet, compiled: bool = False):
+    def __init__(self, monitor: STARNet):
         self.monitor = monitor
-        self.compiled = compiled
 
     def __call__(self, items: List[Any]) -> List[float]:
         percepts = [Percept(features=np.asarray(f)) for f in items]
-        if self.compiled:
-            from ..compile import compile_mode
-            with compile_mode("compiled"):
-                return [float(t) for t in
-                        self.monitor.assess_batch(percepts)]
         return [float(t) for t in self.monitor.assess_batch(percepts)]
 
 
@@ -160,9 +141,7 @@ class MonitorRunnerFactory:
     Deliberately ignores the per-replica seed it is called with: every
     replica builds the *same* monitor from the factory's own seed, which
     is the numerical-interchangeability contract the equivalence gate
-    checks.  ``compiled=True`` serves through :mod:`repro.compile`
-    artifacts; that requires a forward-only scorer, so combining it with
-    the gradient-based ``exact`` method is rejected at construction.
+    checks.
     """
 
     feature_dim: int = 6
@@ -170,27 +149,17 @@ class MonitorRunnerFactory:
     seed: int = 0
     per_batch_ms: float = 12.0
     per_item_ms: float = 5.0
-    score_method: str = "exact"
-    compiled: bool = False
-
-    def __post_init__(self):
-        if self.compiled and self.score_method == "exact":
-            raise ValueError(
-                "compiled replicas cannot use score_method='exact' "
-                "(likelihood regret needs decoder.backward, which is "
-                "eager-only); use 'recon' or 'spsa'")
 
     def make_monitor(self) -> STARNet:
         rng = np.random.default_rng(self.seed)
-        monitor = STARNet(self.feature_dim, score_method=self.score_method,
+        monitor = STARNet(self.feature_dim, score_method=SCORE_METHOD,
                           rng=np.random.default_rng(self.seed + 1))
         monitor.fit(rng.normal(size=(64, self.feature_dim)),
                     epochs=self.fit_epochs)
         return monitor
 
     def __call__(self, index: int, replica_seed: int):
-        runner = _FeatureBatchRunner(self.make_monitor(),
-                                     compiled=self.compiled)
+        runner = _FeatureBatchRunner(self.make_monitor())
         return EmulatedServiceRunner(runner, self.per_batch_ms,
                                      self.per_item_ms)
 
@@ -376,8 +345,7 @@ def run_fleet_benchmark(config: FleetBenchConfig = FleetBenchConfig()
     factory = MonitorRunnerFactory(
         feature_dim=config.feature_dim, fit_epochs=config.fit_epochs,
         seed=config.seed, per_batch_ms=config.per_batch_ms,
-        per_item_ms=config.per_item_ms,
-        score_method=config.score_method, compiled=config.compiled)
+        per_item_ms=config.per_item_ms)
     streams = _client_streams(config)
     reference = np.array(_reference_trust(factory, streams))
 
@@ -427,8 +395,7 @@ def run_fleet_benchmark(config: FleetBenchConfig = FleetBenchConfig()
             "sweep_replicas": config.sweep_replicas,
             "sweep_staleness_budget_ms": config.sweep_staleness_budget_ms,
             "seed": config.seed,
-            "compiled": config.compiled,
-            "score_method": config.score_method,
+            "score_method": SCORE_METHOD,
         },
         "single_process": single,
         "fleet": fleet_results,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import sys
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -13,32 +11,8 @@ from .layers import Dense, Module, ReLU
 __all__ = ["Sequential", "mlp"]
 
 
-def _compiled_mode_active() -> bool:
-    """True when REPRO_COMPILE / compile_mode() selects compiled execution.
-
-    Kept dependency-light on purpose: repro.nn must not import
-    repro.compile at module load (repro.compile imports the layers), and
-    eager-mode dispatch must stay a cheap attribute check.  The env
-    value is validated by ``repro.compile.executor.active_mode`` once
-    routing actually engages.
-    """
-    executor = sys.modules.get("repro.compile.executor")
-    if executor is not None and executor._forced is not None:
-        return executor._forced == "compiled"
-    return os.environ.get("REPRO_COMPILE", "").strip().lower() == "compiled"
-
-
 class Sequential(Module):
-    """Chain of layers applied in order; backward runs in reverse.
-
-    Under ``REPRO_COMPILE=compiled`` (or a ``compile_mode("compiled")``
-    scope) the inference forwards route through a cached
-    :class:`repro.compile.CompiledModule` artifact — traced once, fused,
-    arena-backed — with loud fallback to the eager loop for untraceable
-    layer stacks.  ``backward`` stays eager and refuses to run against a
-    forward that executed compiled (the layer caches it would consume
-    were never populated).
-    """
+    """Chain of layers applied in order; backward runs in reverse."""
 
     def __init__(self, *layers: Module):
         self.layers: List[Module] = list(layers)
@@ -47,39 +21,19 @@ class Sequential(Module):
         self.layers.append(layer)
         return self
 
-    def _eager_forward(self, x: np.ndarray) -> np.ndarray:
-        self.__dict__["_ran_compiled"] = False
+    def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
         return x
 
-    def _eager_forward_batch(self, x: np.ndarray) -> np.ndarray:
+    def forward_batch(self, x: np.ndarray) -> np.ndarray:
+        """Pure batched inference through the chain (see
+        :meth:`Module.forward_batch` for the contract)."""
         for layer in self.layers:
             x = layer.forward_batch(x)
         return x
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if _compiled_mode_active():
-            from ..compile.executor import routed_forward
-            return routed_forward(self, x)
-        return self._eager_forward(x)
-
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """Pure batched inference through the chain (see
-        :meth:`Module.forward_batch` for the contract)."""
-        if _compiled_mode_active():
-            from ..compile.executor import routed_forward_batch
-            return routed_forward_batch(self, x)
-        return self._eager_forward_batch(x)
-
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self.__dict__.get("_ran_compiled"):
-            from ..compile.executor import CompileError
-            raise CompileError(
-                "backward after a compiled forward: the compiled path "
-                "does not populate layer caches. Run the forward under "
-                "eager mode (REPRO_COMPILE=eager or outside "
-                "compile_mode('compiled')) before training.")
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad

@@ -2,7 +2,7 @@
 
 Each :data:`BENCHES` entry names a module under ``benchmarks/`` whose
 entry point is a pure, explicitly seeded function returning a plain
-dict.  The ten *gated* benches additionally declare, in that module:
+dict.  The nine *gated* benches additionally declare, in that module:
 
 * ``run(smoke=False)`` — the entry point (``smoke=True`` selects the
   seconds-scale CI variant where the entry says it has one);
@@ -20,8 +20,8 @@ seeds itself explicitly; only the wall-clock metadata varies.
 
 The default set covers the fast shape-level benches; heavier paper
 artifacts (Table I, Fig. 7, Fig. 9) and the timing-valued or
-process-spawning benches (kernels, serving, fleet, compile, control,
-federated, scenario) are opt-in by name.
+process-spawning benches (kernels, serving, fleet, control, federated,
+scenario) are opt-in by name.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ BENCHES: Dict[str, Bench] = {
     "serving_throughput": Bench("bench_serving_throughput", gated=True,
                                 smoke=True),
     "fleet_scaling": Bench("bench_fleet_scaling", gated=True, smoke=True),
-    "compile_stages": Bench("bench_compile", gated=True, smoke=True),
     "control_adaptation": Bench("bench_control_adaptation", gated=True,
                                 smoke=True),
     "federated_async": Bench("bench_federated_async", gated=True,
@@ -201,14 +200,12 @@ def _provenance() -> dict:
     """What produced a run: code version, toolchain and backends."""
     import numpy
 
-    from ..compile import active_mode
     from ..kernels import active_backend
     return {
         "git_sha": _git_sha(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "kernel_backend": active_backend(),
-        "compile_mode": active_mode(),
         "host_cpus": os.cpu_count(),
     }
 

@@ -31,7 +31,6 @@ from .scheduler import (
 from .services import (
     BatchedMonitor,
     BatchedPerception,
-    compiled_monitor_runner,
     detector_runner,
     flow_runner,
     koopman_rollout_runner,
@@ -43,7 +42,7 @@ __all__ = [
     "BatcherConfig", "MicroBatcher", "BatchedService", "ServeTicket",
     "ServiceOverloaded",
     "BatchedMonitor", "BatchedPerception", "monitor_runner",
-    "compiled_monitor_runner", "detector_runner", "occupancy_runner",
-    "flow_runner", "koopman_rollout_runner",
+    "detector_runner", "occupancy_runner", "flow_runner",
+    "koopman_rollout_runner",
     "ServingBenchConfig", "FeatureEnv", "run_serving_benchmark",
 ]

@@ -271,8 +271,7 @@ def test_scenario_registry_shape():
                                      "federated_round",
                                      "control_adaptation",
                                      "scenario_sweep"}
-    assert CHECKS == ("serial", "pooled", "cache", "quantized", "kernels",
-                      "compiled")
+    assert CHECKS == ("serial", "pooled", "cache", "quantized", "kernels")
 
 
 def test_run_scenario_validates_name_and_variant():
@@ -336,9 +335,9 @@ def test_run_verify_update_then_verify_round_trip(tmp_path):
     statuses = {(r.check, r.status) for r in report.results}
     assert statuses == {("serial", "pass"), ("pooled", "skip"),
                         ("cache", "skip"), ("quantized", "pass"),
-                        ("kernels", "pass"), ("compiled", "pass")}
+                        ("kernels", "pass")}
     as_dict = report.as_dict()
-    assert as_dict["ok"] is True and len(as_dict["results"]) == 6
+    assert as_dict["ok"] is True and len(as_dict["results"]) == 5
     assert as_dict["kernel_backend"] in ("reference", "vectorized")
     assert "koopman_lqr" in report.render()
 
@@ -357,8 +356,7 @@ def test_run_verify_catches_injected_regression(tmp_path):
 def _injected_regression_body(tmp_path):
     run_verify(["koopman_lqr"], update_goldens=True,
                goldens_dir=str(tmp_path), skip=("pooled", "cache",
-                                                "quantized", "kernels",
-                                                "compiled"))
+                                                "quantized", "kernels"))
     golden = read_golden("koopman_lqr", str(tmp_path))
     drifted = Trace(scenario=golden.scenario,
                     records=json.loads(json.dumps(golden.records)),
@@ -388,8 +386,7 @@ def _injected_regression_body(tmp_path):
     assert any(_bump_first_float(r["payload"]) for r in drifted.records)
     write_golden(drifted, str(tmp_path))  # re-hash: file is "valid"
     report = run_verify(["koopman_lqr"], goldens_dir=str(tmp_path),
-                        skip=("pooled", "cache", "quantized", "kernels",
-                              "compiled"))
+                        skip=("pooled", "cache", "quantized", "kernels"))
     assert not report.ok
     (failure,) = report.failures()
     assert failure.check == "serial" and failure.mismatches
